@@ -496,16 +496,6 @@ func loadSchedule(path string, g *graph.Digraph, ports int) (*schedule.Schedule,
 	return sch, nil
 }
 
-// arrivalsAt0 turns a load into an arrival stream with everything offered
-// at slot 0 (the mhsim fault pipeline's admission model).
-func arrivalsAt0(load *traffic.Load) []online.Arrival {
-	arr := make([]online.Arrival, len(load.Flows))
-	for i, f := range load.Flows {
-		arr[i] = online.Arrival{Flow: f, At: 0}
-	}
-	return arr
-}
-
 // runFaulty drives the fault-tolerant online pipeline and prints the
 // per-epoch degradation report. When the algorithm spec carries redundancy
 // knobs (crit > 0, or the load itself has provisioned Redundant routes),
@@ -513,20 +503,15 @@ func arrivalsAt0(load *traffic.Load) []online.Arrival {
 // redundancy under the reactive repair.
 func runFaulty(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults *fault.Trace, opt core.Options, params algo.Params, maxEpochs int) error {
 	expanded, red := algo.ProvisionRedundant(g, load, params)
-	fopt := online.FaultOptions{Options: online.Options{Core: opt, MaxEpochs: maxEpochs, Flight: params.Flight}}
-	var res *online.FaultResult
-	var err error
-	if red.Empty() {
-		res, err = online.RunFaulty(g, arrivalsAt0(load), faults, fopt)
-	} else {
+	fopt := online.Options{Core: opt, MaxEpochs: maxEpochs, Flight: params.Flight, Trace: faults}
+	if !red.Empty() {
 		k, crit, stretch := algo.RedundancyKnobs(params)
 		fmt.Fprintf(stdout, "redundancy: k=%d crit=%.2f stretch=%.1f; %d flows expanded to %d copy flows (%d -> %d packets)\n",
 			k, crit, stretch, len(load.Flows), len(expanded.Flows),
 			load.TotalPackets(), expanded.TotalPackets())
-		res, err = online.RunRedundantFaulty(g, arrivalsAt0(expanded), faults, online.RedundantFaultOptions{
-			FaultOptions: fopt, Redundancy: red,
-		})
+		load, fopt.Redundancy = expanded, red
 	}
+	res, err := online.Run(g, online.Batch(load), fopt)
 	if err != nil {
 		return err
 	}
@@ -588,13 +573,14 @@ func runShowdown(stdout io.Writer, g *graph.Digraph, load *traffic.Load, faults 
 	}
 	k, crit, stretch := algo.RedundancyKnobs(params)
 	expanded, red := algo.ProvisionRedundant(g, load, params)
-	fopt := online.FaultOptions{
-		Options:       online.Options{Core: opt, MaxEpochs: maxEpochs},
-		SkipReference: true,
-	}
 	arm := func(name string, l *traffic.Load, r *traffic.Redundancy, reactive bool) (showdownArm, error) {
-		res, err := online.RunRedundantFaulty(g, arrivalsAt0(l), faults, online.RedundantFaultOptions{
-			FaultOptions: fopt, Redundancy: r, NoReactive: !reactive,
+		res, err := online.Run(g, online.Batch(l), online.Options{
+			Core:          opt,
+			MaxEpochs:     maxEpochs,
+			Trace:         faults,
+			Redundancy:    r,
+			NoReactive:    !reactive,
+			SkipReference: true,
 		})
 		if err != nil {
 			return showdownArm{}, fmt.Errorf("%s arm: %w", name, err)

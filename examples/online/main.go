@@ -49,7 +49,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("Octopus epochs      : %5.1f%% delivered in %d epochs, mean completion %.1f epochs\n",
-		100*float64(oct.Delivered)/float64(oct.Total), len(oct.Epochs),
+		100*oct.DeliveredFraction(), len(oct.Epochs),
 		oct.MeanCompletionEpochs(arrivals, *window))
 
 	for _, hys := range []int{0, 96} {

@@ -23,11 +23,7 @@ func (maxweightAlgo) Describe() string {
 func (maxweightAlgo) Kind() Kind { return Online }
 
 func (maxweightAlgo) Run(g *graph.Digraph, load *traffic.Load, p Params) (*Outcome, error) {
-	arr := make([]online.Arrival, 0, len(load.Flows))
-	for _, f := range load.Flows {
-		arr = append(arr, online.Arrival{Flow: f, At: 0})
-	}
-	res, err := online.MaxWeightAdaptive(g, arr, online.AdaptiveOptions{
+	res, err := online.MaxWeightAdaptive(g, online.Batch(load), online.AdaptiveOptions{
 		Horizon:      p.Window,
 		Delta:        p.Delta,
 		Hold:         p.Hold,

@@ -18,11 +18,11 @@ func podInstance(t *testing.T, pods, podSize, window int, seed int64) (*graph.Di
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := p.Fabric()
-	if err := s.Validate(g); err != nil {
+	g, load := p.Fabric(), s.Materialize(nil)
+	if err := load.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	return g, s.Materialize(nil)
+	return g, load
 }
 
 func TestOctopusShardedOnPodFabric(t *testing.T) {

@@ -54,10 +54,9 @@ type Config struct {
 	Trace *fault.Trace
 
 	// Repair enables the epoch-boundary fault machinery: surviving-fabric
-	// snapshots, route repair of broken flows, delta jitter, and the
-	// redundancy-deduplicated delivery accounting. The fault-tolerant
-	// online drivers and the daemon set it; the plain online loop does
-	// not.
+	// snapshots, route repair of broken flows, and delta jitter. The
+	// online driver sets it when given a fault trace or redundancy groups,
+	// and the daemon always sets it.
 	Repair bool
 
 	// Reactive selects BFS rerouting for flows whose every route died
@@ -121,18 +120,22 @@ type Pipeline struct {
 	epoch       int
 	backlog     *traffic.Load
 	origin      map[int]int // backlog flow ID -> arrival flow ID
-	arrivalSrc  map[int]int // arrival flow ID -> original source node
+	arrivalSrc  map[int]int // backlogged arrival flow ID -> original source node (repair mode)
 	outstanding map[int]int // arrival flow ID -> undelivered packets
-	deliveredBy map[int]int // arrival flow ID -> delivered packets so far
+	deliveredBy map[int]int // grouped arrival flow ID -> delivered packets so far
 	members     map[int][]int
-	uniquePrev  int
-	nextID      int
-	completion  map[int]int
-	delivered   int
-	dropped     int
-	cancelledP  int
-	survived    int
-	psi         int64
+	// ungroupedDelivered totals the delivery of arrivals outside any
+	// redundancy group; with the best copy of each group it makes up the
+	// unique delivered count, uniquePrev.
+	ungroupedDelivered int
+	uniquePrev         int
+	nextID             int
+	completion         map[int]int
+	delivered          int
+	dropped            int
+	cancelledP         int
+	survived           int
+	psi                int64
 }
 
 // New returns a Pipeline over fabric g. The trace, when present, is

@@ -410,3 +410,63 @@ func TestDrainedThenResume(t *testing.T) {
 		t.Fatalf("delivery after resume: %+v", p.Totals())
 	}
 }
+
+// TestArrivalSourcesBoundedByBacklog drives a long churned repair-mode run —
+// fresh multi-hop arrivals and cancellations every epoch, links failing
+// and recovering underneath — and checks after every commit that the
+// arrival-source map tracks only the live backlog: one entry per arrival
+// still referenced, never more than the backlog's flow count.
+func TestArrivalSourcesBoundedByBacklog(t *testing.T) {
+	const n, window, epochs = 6, 6, 300
+	g := graph.Complete(n)
+	rng := rand.New(rand.NewSource(5))
+	tr := &fault.Trace{}
+	for at := 0; at < epochs*window; at += 7 * window {
+		from, to := rng.Intn(n), rng.Intn(n-1)
+		if to >= from {
+			to++
+		}
+		tr.Events = append(tr.Events,
+			fault.Event{At: at, Kind: fault.LinkDown, From: from, To: to},
+			fault.Event{At: at + 3*window, Kind: fault.LinkUp, From: from, To: to})
+	}
+	p, err := New(g, Config{Core: core.Options{Window: window, Delta: 1}, Trace: tr, Repair: true, Reactive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextID, rerouted := 0, 0
+	for epoch := 0; epoch < epochs; epoch++ {
+		for i := 0; i < 3; i++ {
+			hops := rng.Perm(n)[:2+rng.Intn(2)]
+			f := traffic.Flow{ID: nextID, Size: 1 + rng.Intn(6), Src: hops[0], Dst: hops[len(hops)-1],
+				Routes: []traffic.Route{traffic.Route(hops)}}
+			if err := p.Submit(f, p.Boundary()); err != nil {
+				t.Fatal(err)
+			}
+			nextID++
+		}
+		if nextID > 10 && rng.Intn(2) == 0 {
+			p.Cancel(rng.Intn(nextID))
+		}
+		plan, err := p.PlanNext()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stat, err := p.Commit(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rerouted += stat.Rerouted
+		if got, live := len(p.arrivalSrc), len(p.backlog.Flows); got > live {
+			t.Fatalf("epoch %d: %d arrival sources for %d backlog flows", epoch, got, live)
+		}
+		for _, f := range p.backlog.Flows {
+			if _, ok := p.arrivalSrc[p.origin[f.ID]]; !ok {
+				t.Fatalf("epoch %d: backlog flow %d (arrival %d) has no recorded source", epoch, f.ID, p.origin[f.ID])
+			}
+		}
+	}
+	if p.Totals().Delivered == 0 || p.BacklogPackets() == 0 || rerouted == 0 {
+		t.Fatalf("run did not churn: totals %+v, backlog %d, rerouted %d", p.Totals(), p.BacklogPackets(), rerouted)
+	}
+}

@@ -30,7 +30,7 @@ func observeEpoch(o *obs.Observer, stat *EpochStat, reconfigs int) {
 // degradation counters always accumulate; the "online.repair" trace event
 // fires only at boundaries where failures were visible or repairs happened,
 // so failure-free epochs stay silent in the trace.
-func observeRepair(o *obs.Observer, stat *FaultEpochStat) {
+func observeRepair(o *obs.Observer, stat *EpochStat) {
 	if !o.Enabled() {
 		return
 	}

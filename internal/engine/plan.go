@@ -9,7 +9,8 @@ import (
 	"octopus/internal/traffic"
 )
 
-// EpochStat summarizes one scheduling epoch.
+// EpochStat summarizes one scheduling epoch: its traffic, and — when the
+// pipeline runs in repair mode — the boundary's degradation accounting.
 type EpochStat struct {
 	Epoch     int // 0-based epoch index
 	Arrived   int // packets newly admitted at this epoch boundary
@@ -21,11 +22,6 @@ type EpochStat struct {
 	// scheduled (nil unless Config.KeepPlans).
 	Plan *core.Result
 	Load *traffic.Load
-}
-
-// FaultEpochStat extends EpochStat with the epoch's degradation accounting.
-type FaultEpochStat struct {
-	EpochStat
 
 	FailedLinks int // links individually down at the boundary snapshot
 	FailedNodes int // nodes down at the boundary snapshot
@@ -46,7 +42,7 @@ type FaultEpochStat struct {
 	// at this boundary but whose redundancy group kept another copy with a
 	// live route: the dead copy is discarded without reroute or drop — the
 	// surviving copy already carries the group's data (always 0 without
-	// redundancy; see online.RunRedundantFaulty).
+	// redundancy).
 	SurvivedRedundant int
 
 	// UniqueDelivered is the epoch's redundancy-deduplicated delivery: the
@@ -56,8 +52,8 @@ type FaultEpochStat struct {
 	UniqueDelivered int
 
 	// RefDelivered is the failure-free reference run's delivery in this
-	// epoch (-1 when the reference was skipped). The engine itself never
-	// sets it; drivers that keep a reference run stamp it between PlanNext
+	// epoch (-1 when there is no reference). The engine itself never sets
+	// it; a driver that keeps a reference run stamps it between PlanNext
 	// and Commit.
 	RefDelivered int
 
@@ -97,13 +93,12 @@ const (
 type Plan struct {
 	Epoch int
 	Kind  PlanKind
-	// Record reports whether the batch drivers append this epoch's stat to
-	// their epoch list, mirroring the recording rules of the monolithic
-	// loops this engine was extracted from: scheduled, idle, and
-	// jitter-skipped epochs always record; a drained boundary records only
-	// when fault repair still did visible work there.
+	// Record reports whether a batch driver appends this epoch's stat to
+	// its epoch list: scheduled, idle, and jitter-skipped epochs always
+	// record; a drained boundary records only when fault repair still did
+	// visible work there.
 	Record bool
-	Stat   FaultEpochStat
+	Stat   EpochStat
 
 	// Planning-side snapshots consumed by Commit.
 	nDue         int         // queue entries consumed (admitted or cancelled)
@@ -111,7 +106,6 @@ type Plan struct {
 	cancelledNow []int       // arrival IDs whose cancellation this plan applies
 	work         *traffic.Load
 	originView   map[int]int
-	srcView      map[int]int
 	nextID       int
 	fabric       *graph.Digraph
 	sched        *core.Result
@@ -165,18 +159,14 @@ func (p *Pipeline) PlanNext() (*Plan, error) {
 	plan := &Plan{Epoch: p.epoch, nDue: len(due)}
 	plan.Stat.Epoch = p.epoch
 
-	// Merged provenance views: the committed maps plus this epoch's
-	// admissions. Copy-on-write — the committed maps are shared untouched
+	// Merged provenance view: the committed map plus this epoch's
+	// admissions. Copy-on-write — the committed map is shared untouched
 	// when the boundary admits and cancels nothing.
-	originView, srcView := p.origin, p.arrivalSrc
+	originView := p.origin
 	if len(due) > 0 || cancelled != nil {
 		originView = make(map[int]int, len(p.origin)+len(due))
 		for k, v := range p.origin {
 			originView[k] = v
-		}
-		srcView = make(map[int]int, len(p.arrivalSrc)+len(due))
-		for k, v := range p.arrivalSrc {
-			srcView[k] = v
 		}
 	}
 	work := &traffic.Load{}
@@ -200,14 +190,13 @@ func (p *Pipeline) PlanNext() (*Plan, error) {
 			continue
 		}
 		originView[nextID] = f.ID
-		srcView[f.ID] = f.Src
 		plan.admitted = append(plan.admitted, admission{id: f.ID, size: f.Size, src: f.Src, dst: f.Dst})
 		f.ID = nextID
 		nextID++
 		work.Flows = append(work.Flows, f)
 		plan.Stat.Arrived += f.Size
 	}
-	plan.work, plan.originView, plan.srcView, plan.nextID = work, originView, srcView, nextID
+	plan.work, plan.originView, plan.nextID = work, originView, nextID
 
 	fabric := p.g
 	if p.cur != nil {
@@ -217,7 +206,9 @@ func (p *Pipeline) PlanNext() (*Plan, error) {
 	}
 	plan.fabric = fabric
 	if p.cfg.Repair {
-		repairBacklog(fabric, work, originView, srcView, &plan.Stat, p.cfg.Red, p.cfg.Reactive, p.cfg.Flight, p.epoch)
+		// Flows admitted at this boundary are still at their source, so
+		// the committed source map covers every flow that can be stranded.
+		repairBacklog(fabric, work, originView, p.arrivalSrc, &plan.Stat, p.cfg.Red, p.cfg.Reactive, p.cfg.Flight, p.epoch)
 		observeRepair(p.cfg.Core.Obs, &plan.Stat)
 	}
 
@@ -271,7 +262,7 @@ func (p *Pipeline) PlanNext() (*Plan, error) {
 // residual load becomes the next backlog, and the epoch counter advances.
 // The returned stat is the plan's, with the delivery fields completed.
 // Plans must be committed in order; a plan from a stale epoch is rejected.
-func (p *Pipeline) Commit(plan *Plan) (*FaultEpochStat, error) {
+func (p *Pipeline) Commit(plan *Plan) (*EpochStat, error) {
 	if plan == nil {
 		return nil, errors.New("engine: Commit of a nil plan")
 	}
@@ -311,11 +302,7 @@ func (p *Pipeline) Commit(plan *Plan) (*FaultEpochStat, error) {
 
 	stat := &plan.Stat
 	if plan.Kind != PlanScheduled {
-		p.backlog = plan.work
-		p.origin = plan.originView
-		p.arrivalSrc = plan.srcView
-		p.nextID = plan.nextID
-		p.epoch++
+		p.advance(plan, plan.work, plan.originView, plan.nextID)
 		return stat, nil
 	}
 
@@ -336,7 +323,11 @@ func (p *Pipeline) Commit(plan *Plan) (*FaultEpochStat, error) {
 			continue
 		}
 		p.outstanding[orig] -= delivered
-		p.deliveredBy[orig] += delivered
+		if _, grouped := p.cfg.Red.GroupOf(orig); grouped {
+			p.deliveredBy[orig] += delivered
+		} else {
+			p.ungroupedDelivered += delivered
+		}
 		rec.Delivered(int64(orig), plan.Epoch+1, int64(delivered))
 		if p.outstanding[orig] == 0 {
 			p.completion[orig] = plan.Epoch + 1
@@ -354,26 +345,50 @@ func (p *Pipeline) Commit(plan *Plan) (*FaultEpochStat, error) {
 	p.delivered += sres.Delivered
 	p.psi += sres.Psi
 	stat.Psi = sres.Psi
-	if p.cfg.Repair {
-		uniqueNow := uniqueDelivered(p.deliveredBy, p.cfg.Red, p.members)
-		stat.UniqueDelivered = uniqueNow - p.uniquePrev
-		p.uniquePrev = uniqueNow
-	}
+	uniqueNow := p.ungroupedDelivered + bestCopyDelivered(p.deliveredBy, p.members)
+	stat.UniqueDelivered = uniqueNow - p.uniquePrev
+	p.uniquePrev = uniqueNow
 	stat.Offered = sres.TotalPackets
 	stat.Delivered = sres.Delivered
 	stat.Backlog = sres.Pending
-	observeEpoch(p.cfg.Core.Obs, &stat.EpochStat, len(sres.Schedule.Configs))
+	observeEpoch(p.cfg.Core.Obs, stat, len(sres.Schedule.Configs))
 	if p.cfg.KeepPlans {
 		stat.Plan = sres
 		stat.Load = plan.work.Clone()
 		stat.Fabric = plan.fabric
 	}
-	p.backlog = plan.residual
-	p.origin = newOrigin
-	p.arrivalSrc = plan.srcView
-	p.nextID = maxNew + 1
-	p.epoch++
+	p.advance(plan, plan.residual, newOrigin, maxNew+1)
 	return stat, nil
+}
+
+// advance installs the committed backlog and its provenance and moves to
+// the next epoch. In repair mode the arrival-source map is rebuilt over the
+// arrivals the new backlog still references, so it stays bounded by the
+// live backlog rather than growing with every arrival ever admitted.
+func (p *Pipeline) advance(plan *Plan, backlog *traffic.Load, origin map[int]int, nextID int) {
+	if p.cfg.Repair {
+		var fresh map[int]int
+		if len(plan.admitted) > 0 {
+			fresh = make(map[int]int, len(plan.admitted))
+			for _, a := range plan.admitted {
+				fresh[a.id] = a.src
+			}
+		}
+		src := make(map[int]int, len(backlog.Flows))
+		for _, f := range backlog.Flows {
+			orig := origin[f.ID]
+			s, ok := p.arrivalSrc[orig]
+			if !ok {
+				s = fresh[orig]
+			}
+			src[orig] = s
+		}
+		p.arrivalSrc = src
+	}
+	p.backlog = backlog
+	p.origin = origin
+	p.nextID = nextID
+	p.epoch++
 }
 
 // compactQueueLocked drops the consumed head of the arrival queue once it

@@ -16,8 +16,11 @@ import (
 // has a live route (proactive redundancy absorbing the failure), otherwise
 // rerouted onto a BFS shortest surviving path from their current position
 // (reactive repair, when enabled); flows with no surviving path are
-// dropped. Degradation counts accumulate onto stat.
-func repairBacklog(fabric *graph.Digraph, backlog *traffic.Load, origin, arrivalSrc map[int]int, stat *FaultEpochStat, red *traffic.Redundancy, reactive bool, rec *flight.Recorder, epoch int) {
+// dropped. A rerouted flow counts as stranded when it sits away from its
+// arrival's recorded source; arrivals missing from arrivalSrc were admitted
+// at this boundary and are still at their source. Degradation counts
+// accumulate onto stat.
+func repairBacklog(fabric *graph.Digraph, backlog *traffic.Load, origin, arrivalSrc map[int]int, stat *EpochStat, red *traffic.Redundancy, reactive bool, rec *flight.Recorder, epoch int) {
 	// Pass 1: which redundancy groups still have a copy with a live route.
 	// Computed before any repair, so reroutes never count as redundancy.
 	var groupLive map[int]bool
@@ -80,7 +83,7 @@ func repairBacklog(fabric *graph.Digraph, backlog *traffic.Load, origin, arrival
 			f.Routes = []traffic.Route{r}
 			stat.Rerouted += f.Size
 			rec.Repaired(orig, epoch, r.Hops(), int64(f.Size))
-			if f.Src != arrivalSrc[origin[f.ID]] {
+			if src, ok := arrivalSrc[origin[f.ID]]; ok && f.Src != src {
 				stat.Stranded += f.Size
 				rec.Requeued(orig, epoch, f.Src, int64(f.Size))
 			}
@@ -90,16 +93,11 @@ func repairBacklog(fabric *graph.Digraph, backlog *traffic.Load, origin, arrival
 	backlog.Flows = kept
 }
 
-// uniqueDelivered deduplicates cumulative per-arrival delivery counts:
-// ungrouped flows count their own packets, and each redundancy group counts
-// its best copy once.
-func uniqueDelivered(deliveredBy map[int]int, red *traffic.Redundancy, members map[int][]int) int {
-	unique := 0
-	for id, d := range deliveredBy {
-		if _, ok := red.GroupOf(id); !ok {
-			unique += d
-		}
-	}
+// bestCopyDelivered sums, over the redundancy groups, the cumulative
+// delivery of each group's best copy: a group counts once however many of
+// its copies deliver.
+func bestCopyDelivered(deliveredBy map[int]int, members map[int][]int) int {
+	total := 0
 	for _, ids := range members {
 		best := 0
 		for _, id := range ids {
@@ -107,9 +105,9 @@ func uniqueDelivered(deliveredBy map[int]int, red *traffic.Redundancy, members m
 				best = d
 			}
 		}
-		unique += best
+		total += best
 	}
-	return unique
+	return total
 }
 
 // auditEpoch validates the epoch's plan against the fabric it was planned

@@ -68,28 +68,20 @@ func redTraces() ([]*fault.Trace, error) {
 // redArm runs one arm of the showdown: the arrivals (all at slot 0) under
 // one committed failure trace, with or without proactive copies (red) and
 // with or without reactive epoch-boundary repair.
-func redArm(g *graph.Digraph, load *traffic.Load, tr *fault.Trace, mat core.Matcher, red *traffic.Redundancy, reactive bool) (*online.FaultResult, error) {
-	arrivals := make([]online.Arrival, len(load.Flows))
-	for i, f := range load.Flows {
-		arrivals[i] = online.Arrival{Flow: f, At: 0}
-	}
-	opt := online.RedundantFaultOptions{
-		FaultOptions: online.FaultOptions{
-			Options: online.Options{
-				Core:      core.Options{Window: redEpochW, Delta: redDelta, Matcher: mat},
-				MaxEpochs: redMaxEpochs,
-			},
-			SkipReference: true,
-		},
-		Redundancy: red,
-		NoReactive: !reactive,
-	}
-	return online.RunRedundantFaulty(g, arrivals, tr, opt)
+func redArm(g *graph.Digraph, load *traffic.Load, tr *fault.Trace, mat core.Matcher, red *traffic.Redundancy, reactive bool) (*online.Result, error) {
+	return online.Run(g, online.Batch(load), online.Options{
+		Core:          core.Options{Window: redEpochW, Delta: redDelta, Matcher: mat},
+		MaxEpochs:     redMaxEpochs,
+		Trace:         tr,
+		Redundancy:    red,
+		NoReactive:    !reactive,
+		SkipReference: true,
+	})
 }
 
 // onTimeFraction is the deduplicated fraction delivered within the first
 // redHorizon epochs.
-func onTimeFraction(res *online.FaultResult) float64 {
+func onTimeFraction(res *online.Result) float64 {
 	if res.UniqueTotal == 0 {
 		return 0
 	}

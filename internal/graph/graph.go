@@ -137,19 +137,22 @@ func (g *Digraph) Subgraph(keep func(Edge) bool) *Digraph {
 
 // IsRoute reports whether route (a sequence of nodes) is a valid path in g:
 // at least two nodes, no repeats, and every consecutive pair is an edge.
+// Routes are short (traffic caps them at a few hops), so repeats are found
+// by a nested scan rather than a set, and the check never allocates.
 func (g *Digraph) IsRoute(route []int) bool {
 	if len(route) < 2 {
 		return false
 	}
-	seen := make(map[int]bool, len(route))
-	for _, v := range route {
-		if v < 0 || v >= g.n || seen[v] {
+	for k, v := range route {
+		if v < 0 || v >= g.n {
 			return false
 		}
-		seen[v] = true
-	}
-	for k := 0; k+1 < len(route); k++ {
-		if !g.HasEdge(route[k], route[k+1]) {
+		for _, u := range route[:k] {
+			if u == v {
+				return false
+			}
+		}
+		if k > 0 && !g.has[route[k-1]*g.n+v] {
 			return false
 		}
 	}

@@ -198,6 +198,14 @@ func TestIsRoute(t *testing.T) {
 			t.Errorf("IsRoute(%v) = %v, want %v", c.route, got, c.want)
 		}
 	}
+	// Load validation checks every route of every flow: the check must not
+	// allocate, whatever the route's length.
+	k := Complete(12)
+	for _, route := range [][]int{{0, 1, 2, 3}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}} {
+		if allocs := testing.AllocsPerRun(100, func() { k.IsRoute(route) }); allocs != 0 {
+			t.Errorf("IsRoute(%v) allocates %.0f times per call, want 0", route, allocs)
+		}
+	}
 }
 
 func TestIsMatching(t *testing.T) {

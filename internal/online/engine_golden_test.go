@@ -92,7 +92,7 @@ func goldFromResult(t *testing.T, res *Result) goldRun {
 	return g
 }
 
-func goldFromFaultResult(t *testing.T, res *FaultResult) goldRun {
+func goldFromFaultRun(t *testing.T, res *Result) goldRun {
 	t.Helper()
 	g := goldRun{
 		Delivered:         res.Delivered,
@@ -129,8 +129,10 @@ func goldFromFaultResult(t *testing.T, res *FaultResult) goldRun {
 	return g
 }
 
-// TestEngineExtractionGolden pins Run, RunFaulty, and RunRedundantFaulty
-// bit-identical across the internal/engine extraction: every per-epoch
+// TestEngineExtractionGolden pins Run — plain, under a fault trace, and
+// with redundancy with and without reactive repair — bit-identical across
+// the internal/engine extraction and the fold of the three batch drivers
+// into one: every per-epoch
 // stat, every planned schedule (by hash), every completion map, and every
 // run total must match the fingerprints captured from the pre-engine
 // monolithic loops.
@@ -159,11 +161,13 @@ func TestEngineExtractionGolden(t *testing.T) {
 		}
 		runs[key(seed, "plain")] = goldFromResult(t, plain)
 
-		faulty, err := RunFaulty(inst.G, arr, tr, FaultOptions{Options: opt})
+		fopt := opt
+		fopt.Trace = tr
+		faulty, err := Run(inst.G, arr, fopt)
 		if err != nil {
-			t.Fatalf("seed %d: RunFaulty: %v", seed, err)
+			t.Fatalf("seed %d: Run (faulty): %v", seed, err)
 		}
-		runs[key(seed, "faulty")] = goldFromFaultResult(t, faulty)
+		runs[key(seed, "faulty")] = goldFromFaultRun(t, faulty)
 
 		// Redundancy-expanded arrivals over the same trace, with and
 		// without the reactive repair arm.
@@ -178,15 +182,15 @@ func TestEngineExtractionGolden(t *testing.T) {
 			name       string
 			noReactive bool
 		}{{"redundant", false}, {"proactive", true}} {
-			res, err := RunRedundantFaulty(inst.G, rarr, tr, RedundantFaultOptions{
-				FaultOptions: FaultOptions{Options: opt, SkipReference: true},
-				Redundancy:   groups,
-				NoReactive:   mode.noReactive,
-			})
+			ropt := fopt
+			ropt.SkipReference = true
+			ropt.Redundancy = groups
+			ropt.NoReactive = mode.noReactive
+			res, err := Run(inst.G, rarr, ropt)
 			if err != nil {
-				t.Fatalf("seed %d: RunRedundantFaulty (%s): %v", seed, mode.name, err)
+				t.Fatalf("seed %d: Run (%s): %v", seed, mode.name, err)
 			}
-			runs[key(seed, mode.name)] = goldFromFaultResult(t, res)
+			runs[key(seed, mode.name)] = goldFromFaultRun(t, res)
 		}
 	}
 
@@ -227,8 +231,8 @@ func TestEngineExtractionGolden(t *testing.T) {
 func craftedScenarios(t *testing.T) map[string]goldRun {
 	t.Helper()
 	out := map[string]goldRun{}
-	keep := func(w, d int) Options {
-		return Options{Core: core.Options{Window: w, Delta: d}, KeepPlans: true}
+	keep := func(w, d int, tr *fault.Trace) Options {
+		return Options{Core: core.Options{Window: w, Delta: d}, KeepPlans: true, Trace: tr}
 	}
 
 	// Reroute around a failed link, with a second flow arriving late.
@@ -241,22 +245,22 @@ func craftedScenarios(t *testing.T) map[string]goldRun {
 		{At: 0, Kind: fault.LinkDown, From: 0, To: 1},
 		{At: 300, Kind: fault.LinkUp, From: 0, To: 1},
 	}}
-	res, err := RunFaulty(g, arr, tr, FaultOptions{Options: keep(200, 5)})
+	res, err := Run(g, arr, keep(200, 5, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["reroute"] = goldFromFaultResult(t, res)
+	out["reroute"] = goldFromFaultRun(t, res)
 
 	// Stranded in-flight requeue: one configuration per window, onward
 	// link dies after the first hop.
 	g = graph.Complete(3)
 	arr = []Arrival{{Flow: traffic.Flow{ID: 9, Size: 5, Src: 0, Dst: 2, Routes: []traffic.Route{{0, 1, 2}}}, At: 0}}
 	tr = &fault.Trace{Events: []fault.Event{{At: 12, Kind: fault.LinkDown, From: 1, To: 2}}}
-	res, err = RunFaulty(g, arr, tr, FaultOptions{Options: keep(12, 5)})
+	res, err = Run(g, arr, keep(12, 5, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["stranded"] = goldFromFaultResult(t, res)
+	out["stranded"] = goldFromFaultRun(t, res)
 
 	// Unreachable destination: node 3 down for the whole run.
 	g = graph.Complete(4)
@@ -265,21 +269,21 @@ func craftedScenarios(t *testing.T) map[string]goldRun {
 		{Flow: traffic.Flow{ID: 2, Size: 4, Src: 1, Dst: 2, Routes: []traffic.Route{{1, 2}}}, At: 0},
 	}
 	tr = &fault.Trace{Events: []fault.Event{{At: 0, Kind: fault.NodeDown, Node: 3}}}
-	res, err = RunFaulty(g, arr, tr, FaultOptions{Options: keep(100, 5)})
+	res, err = Run(g, arr, keep(100, 5, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["drop"] = goldFromFaultResult(t, res)
+	out["drop"] = goldFromFaultRun(t, res)
 
 	// Jitter idles epoch 0; traffic delivers afterwards.
 	g = graph.Complete(3)
 	arr = []Arrival{{Flow: traffic.Flow{ID: 1, Size: 4, Src: 0, Dst: 1, Routes: []traffic.Route{{0, 1}}}, At: 0}}
 	tr = &fault.Trace{DeltaJitter: []int{1000}}
-	res, err = RunFaulty(g, arr, tr, FaultOptions{Options: keep(50, 5)})
+	res, err = Run(g, arr, keep(50, 5, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["jitter"] = goldFromFaultResult(t, res)
+	out["jitter"] = goldFromFaultRun(t, res)
 
 	// Redundant copies absorbing a correlated node burst: two disjoint
 	// copies of a critical flow, the primary's relay node dies at slot 0.
@@ -294,15 +298,15 @@ func craftedScenarios(t *testing.T) map[string]goldRun {
 		rarr = append(rarr, Arrival{Flow: f, At: 0})
 	}
 	tr = fault.CorrelatedTrace(g, []int{1}, 0, 100, 60)
-	res, err = RunRedundantFaulty(g, rarr, tr, RedundantFaultOptions{
-		FaultOptions: FaultOptions{Options: keep(40, 4), SkipReference: true},
-		Redundancy:   groups,
-		NoReactive:   true,
-	})
+	opt := keep(40, 4, tr)
+	opt.SkipReference = true
+	opt.Redundancy = groups
+	opt.NoReactive = true
+	res, err = Run(g, rarr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["survive"] = goldFromFaultResult(t, res)
+	out["survive"] = goldFromFaultRun(t, res)
 	return out
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // TestFaultyObsEquivalence checks the read-only contract through the
-// fault-tolerant online pipeline: RunFaulty with a live Observer must
+// fault-tolerant online pipeline: a fault-trace Run with a live Observer must
 // reproduce the uninstrumented run epoch for epoch, including the
 // failure-free reference (which deliberately runs with a detached observer
 // so its counters do not pollute the degraded run's metrics).
@@ -27,8 +27,8 @@ func TestFaultyObsEquivalence(t *testing.T) {
 		{At: 12, Kind: fault.LinkDown, From: 1, To: 2},
 		{At: 40, Kind: fault.LinkUp, From: 1, To: 2},
 	}}
-	opt := FaultOptions{Options: Options{Core: core.Options{Window: 12, Delta: 3}}}
-	plain, err := RunFaulty(g, arr, tr, opt)
+	opt := Options{Core: core.Options{Window: 12, Delta: 3}, Trace: tr}
+	plain, err := Run(g, arr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestFaultyObsEquivalence(t *testing.T) {
 	var trace bytes.Buffer
 	reg := obs.NewRegistry()
 	opt.Core.Obs = &obs.Observer{Metrics: reg, Trace: obs.NewTracer(&trace)}
-	inst, err := RunFaulty(g, arr, tr, opt)
+	inst, err := Run(g, arr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 )
 
 // TestRedundantFaultyIdentityWhenKOne is the k=1 bit-identity property:
-// with an empty redundancy map and reactive repair on, RunRedundantFaulty
-// must be indistinguishable from RunFaulty on arbitrary instances and
-// failure traces — same struct, bit for bit.
+// with an empty redundancy map and reactive repair on, a redundant run
+// must be indistinguishable from the plain fault run on arbitrary
+// instances and failure traces — same struct, bit for bit.
 func TestRedundantFaultyIdentityWhenKOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 12; trial++ {
@@ -28,7 +28,7 @@ func TestRedundantFaultyIdentityWhenKOne(t *testing.T) {
 			f.Routes = f.Routes[:1]
 			arr = append(arr, Arrival{Flow: f, At: i * inst.Window / 3})
 		}
-		var tr *fault.Trace
+		tr := &fault.Trace{}
 		if trial%2 == 0 && len(arr) > 0 {
 			// Break the first flow's first hop for a while.
 			r := arr[0].Flow.Routes[0]
@@ -37,20 +37,20 @@ func TestRedundantFaultyIdentityWhenKOne(t *testing.T) {
 				{At: 2 * inst.Window, Kind: fault.LinkUp, From: r[0], To: r[1]},
 			}}
 		}
-		opt := FaultOptions{Options: Options{Core: core.Options{Window: inst.Window, Delta: inst.Delta}}}
-		want, err := RunFaulty(inst.G, arr, tr, opt)
+		opt := Options{Core: core.Options{Window: inst.Window, Delta: inst.Delta}, Trace: tr}
+		want, err := Run(inst.G, arr, opt)
 		if err != nil {
-			t.Fatalf("trial %d: RunFaulty: %v", trial, err)
+			t.Fatalf("trial %d: Run: %v", trial, err)
 		}
 		for name, red := range map[string]*traffic.Redundancy{"nil": nil, "empty": {}} {
-			got, err := RunRedundantFaulty(inst.G, arr, tr, RedundantFaultOptions{
-				FaultOptions: opt, Redundancy: red,
-			})
+			ropt := opt
+			ropt.Redundancy = red
+			got, err := Run(inst.G, arr, ropt)
 			if err != nil {
-				t.Fatalf("trial %d (%s): RunRedundantFaulty: %v", trial, name, err)
+				t.Fatalf("trial %d (%s): Run: %v", trial, name, err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("trial %d (%s): k=1 redundant run diverges from RunFaulty:\n%+v\nvs\n%+v",
+				t.Fatalf("trial %d (%s): k=1 redundant run diverges from the plain fault run:\n%+v\nvs\n%+v",
 					trial, name, got, want)
 			}
 		}
@@ -67,16 +67,17 @@ func TestRedundantFaultyIdentityWhenKOne(t *testing.T) {
 func TestRedundantCopySurvivesFailure(t *testing.T) {
 	g := graph.Complete(4)
 	tr := &fault.Trace{Events: []fault.Event{{At: 0, Kind: fault.LinkDown, From: 0, To: 3}}}
-	opt := RedundantFaultOptions{
-		FaultOptions: FaultOptions{Options: Options{Core: core.Options{Window: 100, Delta: 5}}},
-		Redundancy:   &traffic.Redundancy{Group: map[int]int{1: 1, 5: 1}},
-		NoReactive:   true,
+	opt := Options{
+		Core:       core.Options{Window: 100, Delta: 5},
+		Trace:      tr,
+		Redundancy: &traffic.Redundancy{Group: map[int]int{1: 1, 5: 1}},
+		NoReactive: true,
 	}
 	arr := []Arrival{
 		{Flow: traffic.Flow{ID: 1, Size: 6, Src: 0, Dst: 3, Routes: []traffic.Route{{0, 3}}}, At: 0},
 		{Flow: traffic.Flow{ID: 5, Size: 6, Src: 0, Dst: 3, Routes: []traffic.Route{{0, 1, 3}}}, At: 0},
 	}
-	res, err := RunRedundantFaulty(g, arr, tr, opt)
+	res, err := Run(g, arr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +98,9 @@ func TestRedundantCopySurvivesFailure(t *testing.T) {
 
 	// The same flow without a proactive copy, still without reactive
 	// repair, is dropped outright even though the fabric has a detour.
-	bare, err := RunRedundantFaulty(g, arr[:1], tr, RedundantFaultOptions{
-		FaultOptions: opt.FaultOptions, NoReactive: true,
-	})
+	bareOpt := opt
+	bareOpt.Redundancy = nil
+	bare, err := Run(g, arr[:1], bareOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +114,15 @@ func TestRedundantCopySurvivesFailure(t *testing.T) {
 // accounting: two live copies racing the same group count once per epoch.
 func TestRedundantPerEpochUniqueDelivery(t *testing.T) {
 	g := graph.Complete(4)
-	opt := RedundantFaultOptions{
-		FaultOptions: FaultOptions{Options: Options{Core: core.Options{Window: 60, Delta: 5}}},
-		Redundancy:   &traffic.Redundancy{Group: map[int]int{1: 1, 5: 1}},
+	opt := Options{
+		Core:       core.Options{Window: 60, Delta: 5},
+		Redundancy: &traffic.Redundancy{Group: map[int]int{1: 1, 5: 1}},
 	}
 	arr := []Arrival{
 		{Flow: traffic.Flow{ID: 1, Size: 4, Src: 0, Dst: 3, Routes: []traffic.Route{{0, 3}}}, At: 0},
 		{Flow: traffic.Flow{ID: 5, Size: 4, Src: 0, Dst: 3, Routes: []traffic.Route{{0, 1, 3}}}, At: 0},
 	}
-	res, err := RunRedundantFaulty(g, arr, nil, opt)
+	res, err := Run(g, arr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +159,8 @@ func TestFaultEventsBeyondHorizon(t *testing.T) {
 		Flow: traffic.Flow{ID: 1, Size: 5, Src: 0, Dst: 2, Routes: []traffic.Route{{0, 2}}},
 		At:   0,
 	}}
-	opt := FaultOptions{Options: Options{Core: core.Options{Window: 50, Delta: 5}}}
-	want, err := RunFaulty(g, arr, nil, opt)
+	opt := Options{Core: core.Options{Window: 50, Delta: 5}, Trace: &fault.Trace{}}
+	want, err := Run(g, arr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,8 @@ func TestFaultEventsBeyondHorizon(t *testing.T) {
 		{At: 1 << 20, Kind: fault.LinkDown, From: 0, To: 2},
 		{At: 1<<20 + 1, Kind: fault.NodeDown, Node: 2},
 	}}
-	got, err := RunFaulty(g, arr, tr, opt)
+	opt.Trace = tr
+	got, err := Run(g, arr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +191,7 @@ func TestRequeueThenDrop(t *testing.T) {
 		At:   0,
 	}}
 	tr := &fault.Trace{Events: []fault.Event{{At: 12, Kind: fault.NodeDown, Node: 2}}}
-	res, err := RunFaulty(g, arr, tr, FaultOptions{Options: Options{Core: core.Options{Window: 12, Delta: 5}}})
+	res, err := Run(g, arr, Options{Core: core.Options{Window: 12, Delta: 5}, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

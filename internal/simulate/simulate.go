@@ -55,11 +55,6 @@ type Options struct {
 	// ψ metric always uses the plain weight.
 	Epsilon64 int
 
-	// SkipValidate skips schedule validation (useful when the caller has
-	// already validated, or intentionally replays a schedule over a larger
-	// fabric, as the RotorNet comparison does).
-	SkipValidate bool
-
 	// TrackBuffers records in-network buffering: after every
 	// configuration the simulator measures how many packets sit at
 	// intermediate nodes (past their source, short of their destination)
@@ -366,15 +361,13 @@ func Run(g *graph.Digraph, load *traffic.Load, sch *schedule.Schedule, opt Optio
 	if ports < 1 {
 		ports = 1
 	}
-	if !opt.SkipValidate {
-		// Structural validation only: the replay loop itself enforces the
-		// window by truncating, so an over-long schedule is not an error.
-		if err := sch.Validate(g, 0, ports); err != nil {
-			return nil, err
-		}
-		if err := load.Validate(g); err != nil {
-			return nil, err
-		}
+	// Structural validation only: the replay loop itself enforces the
+	// window by truncating, so an over-long schedule is not an error.
+	if err := sch.Validate(g, 0, ports); err != nil {
+		return nil, err
+	}
+	if err := load.Validate(g); err != nil {
+		return nil, err
 	}
 	st, err := newState(g, load, opt)
 	if err != nil {

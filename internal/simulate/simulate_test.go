@@ -246,9 +246,6 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := Run(g, load, bad, Options{}); err == nil {
 		t.Fatal("invalid schedule accepted")
 	}
-	if _, err := Run(g, load, bad, Options{SkipValidate: true}); err != nil {
-		t.Fatal("SkipValidate did not skip")
-	}
 	badChoice := Options{RouteChoice: map[int]int{1: 5}}
 	okSch := &schedule.Schedule{Configs: []schedule.Configuration{
 		{Links: []graph.Edge{{From: 0, To: 1}}, Alpha: 1},

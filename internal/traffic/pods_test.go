@@ -14,7 +14,7 @@ func TestPodSyntheticValidAndDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Validate(p.Fabric()); err != nil {
+	if err := s1.Materialize(nil).Validate(p.Fabric()); err != nil {
 		t.Fatalf("generated pod load invalid: %v", err)
 	}
 	wantFlows := (p.LargePerPod + p.SmallPerPod) * p.Pods
@@ -47,19 +47,19 @@ func TestPodSyntheticInterPodMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := s.Materialize(nil)
 	inter := 0
-	for i := 0; i < s.Len(); i++ {
-		if graph.PodOf(s.Src(i), p.PodSize) != graph.PodOf(s.Dst(i), p.PodSize) {
+	for _, f := range l.Flows {
+		if graph.PodOf(f.Src, p.PodSize) != graph.PodOf(f.Dst, p.PodSize) {
 			inter++
 		}
 	}
-	frac := float64(inter) / float64(s.Len())
+	frac := float64(inter) / float64(len(l.Flows))
 	if frac < 0.15 || frac > 0.45 {
 		t.Fatalf("inter-pod flow fraction %.2f far from InterFrac %.2f", frac, p.InterFrac)
 	}
 	// Inter-pod routes cross exactly one fabric link between pods.
-	for i := 0; i < s.Len(); i++ {
-		f := s.FlowAt(i)
+	for _, f := range l.Flows {
 		srcPod := graph.PodOf(f.Src, p.PodSize)
 		dstPod := graph.PodOf(f.Dst, p.PodSize)
 		crossings := 0
@@ -84,8 +84,8 @@ func TestPodSyntheticLocalOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < s.Len(); i++ {
-		if graph.PodOf(s.Src(i), p.PodSize) != graph.PodOf(s.Dst(i), p.PodSize) {
+	for i, f := range s.Materialize(nil).Flows {
+		if graph.PodOf(f.Src, p.PodSize) != graph.PodOf(f.Dst, p.PodSize) {
 			t.Fatalf("flow %d crosses pods with InterFrac=0", i)
 		}
 	}

@@ -3,16 +3,14 @@ package traffic
 import (
 	"fmt"
 	"math"
-
-	"octopus/internal/graph"
 )
 
 // Store is a columnar (structure-of-arrays) flow store: every flow field
 // lives in a parallel slice and all route node sequences share one arena,
 // so a million-flow load costs a handful of large allocations instead of
 // three small ones per flow. It is the ingest representation for streamed
-// traces and the source the pod-sharded scheduler materializes per-shard
-// loads from.
+// traces and pod workloads (ReadStore, PodSynthetic); consumers take a
+// Load from it with Materialize.
 //
 // Layout: flow i has identity ids[i], size sizes[i], endpoints
 // srcs[i]->dsts[i], and routes routeStart[i]..routeStart[i+1] (exclusive)
@@ -78,26 +76,6 @@ func (s *Store) Bytes() uint64 {
 		4*uint64(cap(s.routeStart)+cap(s.routeOff)+cap(s.nodes))
 }
 
-// MaxNode returns the largest node id referenced by any route or endpoint,
-// or -1 for an empty store.
-func (s *Store) MaxNode() int {
-	maxNode := int32(-1)
-	for _, v := range s.nodes {
-		if v > maxNode {
-			maxNode = v
-		}
-	}
-	for i := range s.srcs {
-		if s.srcs[i] > maxNode {
-			maxNode = s.srcs[i]
-		}
-		if s.dsts[i] > maxNode {
-			maxNode = s.dsts[i]
-		}
-	}
-	return int(maxNode)
-}
-
 // Append adds one flow to the store. It enforces the same structural
 // invariants as ReadJSON: at least one route, no degenerate routes, every
 // route connecting the flow's endpoints, and fields within the int32/int8
@@ -149,71 +127,6 @@ func (s *Store) Append(f *Flow) error {
 	}
 	s.routeStart = append(s.routeStart, int32(len(s.routeOff)-1))
 	return nil
-}
-
-// FromLoad converts a pointer-rich load into a columnar store.
-func FromLoad(l *Load) (*Store, error) {
-	nodeCount := 0
-	for i := range l.Flows {
-		for _, r := range l.Flows[i].Routes {
-			nodeCount += len(r)
-		}
-	}
-	s := NewStore(len(l.Flows), nodeCount)
-	for i := range l.Flows {
-		if err := s.Append(&l.Flows[i]); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// FlowAt materializes flow i as a standalone Flow (routes copied out of
-// the arena). For bulk access prefer Materialize, which shares backing
-// arrays across the whole result.
-func (s *Store) FlowAt(i int) Flow {
-	f := Flow{
-		ID:         int(s.ids[i]),
-		Size:       int(s.sizes[i]),
-		Src:        int(s.srcs[i]),
-		Dst:        int(s.dsts[i]),
-		WeightHops: int(s.weightHops[i]),
-		Critical:   s.critical[i],
-		Redundant:  int(s.redundant[i]),
-	}
-	lo, hi := s.routeStart[i], s.routeStart[i+1]
-	f.Routes = make([]Route, 0, hi-lo)
-	for r := lo; r < hi; r++ {
-		a, b := s.routeOff[r], s.routeOff[r+1]
-		route := make(Route, b-a)
-		for k := a; k < b; k++ {
-			route[k-a] = int(s.nodes[k])
-		}
-		f.Routes = append(f.Routes, route)
-	}
-	return f
-}
-
-// Src, Dst and Size expose the endpoint/size columns of flow i without
-// materializing it; the sharded scheduler partitions flows by pod this
-// way.
-func (s *Store) Src(i int) int  { return int(s.srcs[i]) }
-func (s *Store) Dst(i int) int  { return int(s.dsts[i]) }
-func (s *Store) Size(i int) int { return int(s.sizes[i]) }
-
-// RouteNodes calls fn for every node of every route of flow i, in route
-// order, without materializing anything.
-func (s *Store) RouteNodes(i int, fn func(node int)) {
-	lo, hi := s.routeStart[i], s.routeStart[i+1]
-	for k := s.routeOff[lo]; k < s.routeOff[hi]; k++ {
-		fn(int(s.nodes[k]))
-	}
-}
-
-// PrimaryHops returns the hop count of flow i's first route.
-func (s *Store) PrimaryHops(i int) int {
-	lo := s.routeStart[i]
-	return int(s.routeOff[lo+1]-s.routeOff[lo]) - 1
 }
 
 // Materialize builds a Load holding the selected flows (all flows when
@@ -269,37 +182,4 @@ func (s *Store) Materialize(idx []int) *Load {
 		}
 	}
 	return &Load{Flows: flows}
-}
-
-// Validate checks every stored flow against fabric g, exactly like
-// Load.Validate but without materializing a Load.
-func (s *Store) Validate(g *graph.Digraph) error {
-	// The structural per-flow checks ran in Append; here only fabric
-	// membership and route-path validity remain, plus ID uniqueness.
-	seen := make(map[int32]bool, s.Len())
-	var route []int
-	for i := 0; i < s.Len(); i++ {
-		if seen[s.ids[i]] {
-			return fmt.Errorf("traffic: duplicate flow ID %d", s.ids[i])
-		}
-		seen[s.ids[i]] = true
-		if s.sizes[i] <= 0 {
-			return fmt.Errorf("traffic: flow %d has non-positive size %d", s.ids[i], s.sizes[i])
-		}
-		lo, hi := s.routeStart[i], s.routeStart[i+1]
-		for r := lo; r < hi; r++ {
-			a, b := s.routeOff[r], s.routeOff[r+1]
-			if int(s.weightHops[i]) > 0 && int(b-a)-1 > int(s.weightHops[i]) {
-				return fmt.Errorf("traffic: flow %d route longer than WeightHops %d", s.ids[i], s.weightHops[i])
-			}
-			route = route[:0]
-			for k := a; k < b; k++ {
-				route = append(route, int(s.nodes[k]))
-			}
-			if !g.IsRoute(route) {
-				return fmt.Errorf("traffic: flow %d route %v is not a path of the fabric", s.ids[i], route)
-			}
-		}
-	}
-	return nil
 }

@@ -16,39 +16,40 @@ func storeFixtureLoad() *Load {
 	}}
 }
 
+// storeOf appends every flow of l to a fresh store.
+func storeOf(t *testing.T, l *Load) *Store {
+	t.Helper()
+	s := NewStore(len(l.Flows), 0)
+	for i := range l.Flows {
+		if err := s.Append(&l.Flows[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	l := storeFixtureLoad()
-	s, err := FromLoad(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := storeOf(t, l)
 	if s.Len() != 3 || s.NumRoutes() != 4 || s.NumRouteNodes() != 10 {
 		t.Fatalf("dims = %d flows, %d routes, %d nodes", s.Len(), s.NumRoutes(), s.NumRouteNodes())
 	}
 	if s.TotalPackets() != 15 {
 		t.Fatalf("TotalPackets = %d, want 15", s.TotalPackets())
 	}
-	if s.MaxNode() != 3 {
-		t.Fatalf("MaxNode = %d, want 3", s.MaxNode())
-	}
+	got := s.Materialize(nil)
 	for i := range l.Flows {
-		if got := s.FlowAt(i); !reflect.DeepEqual(got, l.Flows[i]) {
-			t.Fatalf("FlowAt(%d) = %+v, want %+v", i, got, l.Flows[i])
-		}
-		if s.Src(i) != l.Flows[i].Src || s.Dst(i) != l.Flows[i].Dst || s.Size(i) != l.Flows[i].Size {
-			t.Fatalf("column accessors disagree for flow %d", i)
+		if !reflect.DeepEqual(got.Flows[i], l.Flows[i]) {
+			t.Fatalf("flow %d = %+v, want %+v", i, got.Flows[i], l.Flows[i])
 		}
 	}
-	if got := s.Materialize(nil); !reflect.DeepEqual(got, l) {
+	if !reflect.DeepEqual(got, l) {
 		t.Fatalf("Materialize(nil) = %+v, want %+v", got, l)
 	}
 }
 
 func TestStoreMaterializeSubset(t *testing.T) {
-	s, err := FromLoad(storeFixtureLoad())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := storeOf(t, storeFixtureLoad())
 	got := s.Materialize([]int{2, 0})
 	want := storeFixtureLoad()
 	if len(got.Flows) != 2 ||
@@ -99,13 +100,13 @@ func TestStoreAppendRejects(t *testing.T) {
 	}
 }
 
+// TestStoreValidate checks that a materialized store validates like the
+// load it came from: fabric membership and ID uniqueness are enforced at
+// validation, not at Append.
 func TestStoreValidate(t *testing.T) {
 	g := graph.Complete(4)
-	s, err := FromLoad(storeFixtureLoad())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(g); err != nil {
+	s := storeOf(t, storeFixtureLoad())
+	if err := s.Materialize(nil).Validate(g); err != nil {
 		t.Fatalf("valid store rejected: %v", err)
 	}
 	// Duplicate ID.
@@ -113,7 +114,7 @@ func TestStoreValidate(t *testing.T) {
 	if err := s.Append(&dup); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(g); err == nil {
+	if err := s.Materialize(nil).Validate(g); err == nil {
 		t.Fatal("duplicate flow ID accepted")
 	}
 	// Route off the fabric.
@@ -122,23 +123,25 @@ func TestStoreValidate(t *testing.T) {
 	if err := s2.Append(&far); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Validate(g); err == nil {
+	if err := s2.Materialize(nil).Validate(g); err == nil {
 		t.Fatal("off-fabric route accepted")
 	}
 }
 
+// TestStoreRouteNodesAndPrimaryHops checks the route arena's layout as
+// Materialize reads it back: every route's nodes in order, and each flow's
+// primary route first.
 func TestStoreRouteNodesAndPrimaryHops(t *testing.T) {
-	s, err := FromLoad(storeFixtureLoad())
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := storeOf(t, storeFixtureLoad()).Materialize(nil)
 	var got []int
-	s.RouteNodes(0, func(v int) { got = append(got, v) })
-	if want := []int{0, 1, 2, 0, 3, 2}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("RouteNodes(0) visited %v, want %v", got, want)
+	for _, r := range l.Flows[0].Routes {
+		got = append(got, r...)
 	}
-	if s.PrimaryHops(0) != 2 || s.PrimaryHops(1) != 1 {
-		t.Fatalf("PrimaryHops = %d, %d", s.PrimaryHops(0), s.PrimaryHops(1))
+	if want := []int{0, 1, 2, 0, 3, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("flow 0 route nodes %v, want %v", got, want)
+	}
+	if h0, h1 := l.Flows[0].Routes[0].Hops(), l.Flows[1].Routes[0].Hops(); h0 != 2 || h1 != 1 {
+		t.Fatalf("primary hops = %d, %d", h0, h1)
 	}
 }
 
@@ -148,14 +151,11 @@ func TestStoreAgainstSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := FromLoad(l)
-	if err != nil {
+	got := storeOf(t, l).Materialize(nil)
+	if err := got.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Materialize(nil); !reflect.DeepEqual(got, l) {
+	if !reflect.DeepEqual(got, l) {
 		t.Fatal("synthetic load does not round-trip through the store")
 	}
 }

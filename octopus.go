@@ -31,7 +31,9 @@
 package octopus
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 
 	"octopus/internal/algo"
 	"octopus/internal/baseline"
@@ -215,17 +217,45 @@ func Makespan(g *Network, load *Load, opt Options) (int, *Result, error) {
 }
 
 // WindowResult is the outcome of one window of a rolling run.
-type WindowResult = core.WindowResult
+type WindowResult struct {
+	Result   *Result
+	Offered  int // packets offered to this window (initial + carried over)
+	Residual int // packets carried into the next window
+}
 
 // RunWindows schedules the load across successive windows, carrying
 // undelivered packets (from their current positions) into the next window —
-// the paper's continuous-operation workflow.
+// the paper's continuous-operation workflow (§4). It is the online driver
+// with every flow arriving at slot 0, offered in flow-ID order so the
+// epoch engine's renumbering keeps the paper's flow-ID priority; each
+// window runs the full greedy loop on what is left. Returns the per-window
+// results, at most windows of them; the sum of Result.Delivered is the
+// total throughput.
 func RunWindows(g *Network, load *Load, opt Options, windows int) ([]WindowResult, error) {
-	return core.RunWindows(g, load, opt, windows)
+	if windows < 1 {
+		return nil, fmt.Errorf("octopus: windows must be positive, got %d", windows)
+	}
+	arrivals := online.Batch(load)
+	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].Flow.ID < arrivals[j].Flow.ID })
+	res, err := online.Run(g, arrivals, online.Options{Core: opt, MaxEpochs: windows, KeepPlans: true})
+	if err != nil {
+		return nil, err
+	}
+	var out []WindowResult
+	for _, ep := range res.Epochs {
+		out = append(out, WindowResult{Result: ep.Plan, Offered: ep.Offered, Residual: ep.Backlog})
+	}
+	return out, nil
 }
 
 // TotalDelivered sums the packets delivered across rolling windows.
-func TotalDelivered(ws []WindowResult) int { return core.TotalDelivered(ws) }
+func TotalDelivered(ws []WindowResult) int {
+	total := 0
+	for _, w := range ws {
+		total += w.Result.Delivered
+	}
+	return total
+}
 
 // Online-arrival scheduling (the §9 future-work direction; see the online
 // package for details).
@@ -233,13 +263,18 @@ type (
 	// Arrival is a flow plus the slot at which the controller learns of it.
 	Arrival = online.Arrival
 	// OnlineOptions configures an online run (Core.Window is the epoch).
+	// A fault trace or redundancy groups engage the fault loop.
 	OnlineOptions = online.Options
-	// OnlineResult reports per-epoch statistics and per-flow completion.
+	// OnlineResult reports per-epoch statistics, per-flow completion, and
+	// in the fault loop the degradation and deduplicated delivery.
 	OnlineResult = online.Result
 )
 
 // ScheduleOnline schedules dynamically arriving flows in epochs of one
-// window each, carrying backlog forward between epochs.
+// window each, carrying backlog forward between epochs. With
+// OnlineOptions.Trace set, the fabric degrades and recovers by the trace
+// and broken flows are repaired at each epoch boundary; with
+// OnlineOptions.Redundancy, proactive copy groups count once at delivery.
 func ScheduleOnline(g *Network, arrivals []Arrival, opt OnlineOptions) (*OnlineResult, error) {
 	return online.Run(g, arrivals, opt)
 }
@@ -298,26 +333,19 @@ func RunAlgorithm(spec string, g *Network, load *Load, base AlgoParams) (*AlgoOu
 }
 
 // Fault tolerance and proactive multipath redundancy (DESIGN.md §13–14):
-// slot-stamped failure traces replayed against the epoch-based online loop,
-// reactive repair of broken flows at epoch boundaries, and proactive
-// provisioning of critical flows with pairwise edge-disjoint route copies
-// whose delivery is deduplicated per copy group.
+// slot-stamped failure traces replayed against the epoch-based online loop
+// (ScheduleOnline with OnlineOptions.Trace), reactive repair of broken
+// flows at epoch boundaries, and proactive provisioning of critical flows
+// with pairwise edge-disjoint route copies whose delivery is deduplicated
+// per copy group (OnlineOptions.Redundancy).
 type (
 	// FaultTrace is a deterministic, slot-stamped failure/recovery script.
 	FaultTrace = fault.Trace
 	// FaultEvent is one failure or recovery event of a trace.
 	FaultEvent = fault.Event
-	// FaultOptions configures a fault-tolerant online run.
-	FaultOptions = online.FaultOptions
-	// FaultResult reports a degraded online run: per-epoch degradation,
-	// drops, and redundancy-deduplicated delivery.
-	FaultResult = online.FaultResult
 	// Redundancy ties the copy flows of an expanded redundant load into
 	// groups that count once at delivery.
 	Redundancy = traffic.Redundancy
-	// RedundantFaultOptions layers proactive copies — and optionally
-	// disables reactive repair — over FaultOptions.
-	RedundantFaultOptions = online.RedundantFaultOptions
 )
 
 // DisjointRoutes extracts up to k pairwise edge-disjoint near-shortest
@@ -356,23 +384,9 @@ func CorrelatedTrace(g *Network, nodes []int, start, period, duration int) *Faul
 	return fault.CorrelatedTrace(g, nodes, start, period, duration)
 }
 
-// RunFaulty schedules the arrivals over successive epochs while the fabric
-// degrades and recovers according to trace, reactively repairing broken
-// flows at each epoch boundary.
-func RunFaulty(g *Network, arrivals []Arrival, trace *FaultTrace, opt FaultOptions) (*FaultResult, error) {
-	return online.RunFaulty(g, arrivals, trace, opt)
-}
-
-// RunRedundantFaulty layers proactive multipath redundancy (an expanded
-// arrival stream plus its Redundancy groups) under the reactive
-// fault-tolerant loop; see RedundantFaultOptions.
-func RunRedundantFaulty(g *Network, arrivals []Arrival, trace *FaultTrace, opt RedundantFaultOptions) (*FaultResult, error) {
-	return online.RunRedundantFaulty(g, arrivals, trace, opt)
-}
-
 // The stepwise engine and the scheduler daemon behind cmd/mhsd (see
-// DESIGN.md §15). The batch entry points above (ScheduleOnline, RunFaulty,
-// RunRedundantFaulty) are thin drivers over the same Pipeline.
+// DESIGN.md §15). The batch entry points above (ScheduleOnline and
+// RunWindows) are thin drivers over the same Pipeline.
 type (
 	// Pipeline is the mutable epoch state machine: submit and cancel flows
 	// at any time, then alternate PlanNext (compute epoch k+1's

@@ -186,6 +186,60 @@ func TestPublicAPIRollingWindows(t *testing.T) {
 	}
 }
 
+func TestRunWindowsConvergesToFullDelivery(t *testing.T) {
+	g := Complete(10)
+	load, err := Synthetic(g, DefaultSyntheticParams(10, 300), rand.New(rand.NewSource(61)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Window: 300, Delta: 10}
+	// One window delivers only part of the traffic.
+	one, err := Schedule(g, load, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Pending == 0 {
+		t.Skip("single window already delivers everything")
+	}
+	ws, err := RunWindows(g, load, opt, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := TotalDelivered(ws)
+	if total != load.TotalPackets() {
+		t.Fatalf("rolling windows delivered %d of %d", total, load.TotalPackets())
+	}
+	if last := ws[len(ws)-1]; last.Residual != 0 {
+		t.Fatalf("final residual %d", last.Residual)
+	}
+	// Conservation per window: offered = delivered + residual. Every
+	// window's schedule is structurally valid.
+	configs := 0
+	for i, w := range ws {
+		if w.Offered != w.Result.Delivered+w.Residual {
+			t.Fatalf("window %d: %d != %d + %d", i, w.Offered, w.Result.Delivered, w.Residual)
+		}
+		if err := w.Result.Schedule.Validate(g, 0, 1); err != nil {
+			t.Fatalf("window %d: %v", i, err)
+		}
+		configs += len(w.Result.Schedule.Configs)
+	}
+	if configs == 0 {
+		t.Fatal("no configurations across the windows")
+	}
+}
+
+func TestRunWindowsRejectsBadCount(t *testing.T) {
+	g := Complete(6)
+	load, err := Synthetic(g, DefaultSyntheticParams(6, 50), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunWindows(g, load, Options{Window: 50, Delta: 5}, 0); err == nil {
+		t.Fatal("windows=0 accepted")
+	}
+}
+
 func TestPublicAPIPartialFabric(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := RandomPartial(16, 5, rng)
