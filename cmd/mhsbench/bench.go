@@ -19,7 +19,6 @@ import (
 
 	"octopus/internal/algo"
 	"octopus/internal/buildinfo"
-	"octopus/internal/core"
 	"octopus/internal/experiment"
 	"octopus/internal/graph"
 	"octopus/internal/obs"
@@ -123,20 +122,6 @@ type podLoadStats struct {
 	Packets      int64  `json:"packets"`
 	StoreBytes   uint64 `json:"store_bytes"`
 	PointerBytes uint64 `json:"pointer_bytes"`
-}
-
-func matcherName(m core.Matcher) string {
-	switch m {
-	case core.MatcherGreedy:
-		return "greedy"
-	case core.MatcherDense:
-		return "dense"
-	case core.MatcherSparse:
-		return "sparse"
-	case core.MatcherWarm:
-		return "warm"
-	}
-	return "exact"
 }
 
 // benchPods configures the pod-structured bench mode: a graph.Pods fabric
@@ -343,7 +328,7 @@ func (hs *heapSampler) Stop() uint64 {
 func benchOne(a algo.Algorithm, g *graph.Digraph, load *traffic.Load, p algo.Params, reps int) (benchResult, error) {
 	res := benchResult{
 		Algo: a.Name(), Nodes: g.N(), Window: p.Window, Delta: p.Delta,
-		Matcher: matcherName(p.Matcher), Reps: reps,
+		Matcher: algo.MatcherName(p.Matcher), Reps: reps,
 	}
 	var m0, m1 runtime.MemStats
 	for rep := 0; rep < reps; rep++ {

@@ -37,7 +37,7 @@ func main() {
 		nodes     = flag.Int("n", 0, "override default network size")
 		window    = flag.Int("window", 0, "override window W")
 		delta     = flag.Int("delta", 0, "override reconfiguration delay Δ")
-		matcher   = flag.String("matcher", "", "override matcher: exact or greedy")
+		matcher   = flag.String("matcher", "", "override matcher: "+algo.MatcherNames())
 		workers   = flag.Int("workers", 0, "override parallel instances")
 		seed      = flag.Int64("seed", 0, "override base RNG seed")
 		nodeSweep = flag.String("node-sweep", "", "override Fig4a/5a node sweep (comma-separated)")

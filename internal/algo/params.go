@@ -108,25 +108,48 @@ func (p Params) rng() *rand.Rand {
 	return rand.New(rand.NewSource(p.Seed))
 }
 
-// ParseMatcher maps a matcher name onto core.Matcher. "exact" auto-selects
-// between the dense and sparse exact paths (bit-identical); "dense" and
-// "sparse" force one of them (A/B modes, still bit-identical); "warm"
-// retains dual potentials across iterations (equal matching weight, but
-// possibly a different equal-weight optimum — see DESIGN.md §13).
+// matchers is the one table of matcher names: ParseMatcher, MatcherName and
+// MatcherNames all read it.
+var matchers = []struct {
+	name string
+	m    core.Matcher
+}{
+	{"exact", core.MatcherExact},
+	{"greedy", core.MatcherGreedy},
+	{"warm", core.MatcherWarm},
+}
+
+// ParseMatcher maps a matcher name onto core.Matcher: "exact" is the cold
+// exact solver, "greedy" the 2-approximation, and "warm" the exact solver
+// with dual potentials retained across iterations (equal matching weight,
+// but possibly a different equal-weight optimum — see DESIGN.md §13).
 func ParseMatcher(s string) (core.Matcher, error) {
-	switch s {
-	case "exact":
-		return core.MatcherExact, nil
-	case "greedy":
-		return core.MatcherGreedy, nil
-	case "dense":
-		return core.MatcherDense, nil
-	case "sparse":
-		return core.MatcherSparse, nil
-	case "warm":
-		return core.MatcherWarm, nil
+	for _, e := range matchers {
+		if e.name == s {
+			return e.m, nil
+		}
 	}
-	return 0, fmt.Errorf("unknown matcher %q (want exact, greedy, dense, sparse, or warm)", s)
+	return 0, fmt.Errorf("unknown matcher %q (want one of %s)", s, MatcherNames())
+}
+
+// MatcherName is the inverse of ParseMatcher; it returns "" for a value
+// that no name maps to.
+func MatcherName(m core.Matcher) string {
+	for _, e := range matchers {
+		if e.m == m {
+			return e.name
+		}
+	}
+	return ""
+}
+
+// MatcherNames lists the accepted matcher names for errors and help text.
+func MatcherNames() string {
+	names := make([]string, len(matchers))
+	for i, e := range matchers {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ")
 }
 
 // ParseSpec resolves an algorithm spec string with the uniform grammar

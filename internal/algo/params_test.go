@@ -8,11 +8,15 @@ import (
 )
 
 func TestParseMatcher(t *testing.T) {
-	if m, err := ParseMatcher("exact"); err != nil || m != core.MatcherExact {
-		t.Fatalf("exact: %v, %v", m, err)
-	}
-	if m, err := ParseMatcher("greedy"); err != nil || m != core.MatcherGreedy {
-		t.Fatalf("greedy: %v, %v", m, err)
+	for name, want := range map[string]core.Matcher{
+		"exact": core.MatcherExact, "greedy": core.MatcherGreedy, "warm": core.MatcherWarm,
+	} {
+		if m, err := ParseMatcher(name); err != nil || m != want {
+			t.Fatalf("%s: %v, %v", name, m, err)
+		}
+		if got := MatcherName(want); got != name {
+			t.Fatalf("MatcherName(%d) = %q, want %q", want, got, name)
+		}
 	}
 	if _, err := ParseMatcher("hungarian"); err == nil {
 		t.Fatal("bogus matcher accepted")
@@ -84,6 +88,8 @@ func TestParseSpecErrors(t *testing.T) {
 		{"octopus:multihop=maybe", "want a boolean"},
 		{"hybrid:rate=fast", "want a number"},
 		{"octopus:matcher=hungarian", "unknown matcher"},
+		{"octopus:matcher=dense", `unknown matcher "dense" (want one of exact, greedy, warm)`},
+		{"octopus:matcher=sparse", `unknown matcher "sparse" (want one of exact, greedy, warm)`},
 		{"octopus:color=red", "unknown option"},
 	}
 	for _, tc := range cases {

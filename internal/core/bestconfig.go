@@ -366,29 +366,22 @@ func (s *Scheduler) dirtyNodes(sc *evalScratch, since int64) []int {
 }
 
 // exactSolve runs the configured exact matcher on the weighted edges of α.
-// MatcherExact auto-dispatches dense/sparse (bit-identical either way);
-// MatcherDense and MatcherSparse force one path; MatcherWarm retains duals
-// per α across iterations, handing the solver the dirty rows accumulated
-// since that α's previous solve.
+// MatcherWarm retains duals per α across iterations, handing the solver the
+// dirty rows accumulated since that α's previous solve; every other exact
+// mode solves cold.
 func (s *Scheduler) exactSolve(sc *evalScratch, a int, we []matching.Edge) ([]matching.Edge, int64) {
 	n := s.fabric.N()
-	switch s.opt.Matcher {
-	case MatcherDense:
-		return sc.arena.MaxWeightBipartiteDense(n, we)
-	case MatcherSparse:
-		return sc.arena.MaxWeightBipartiteSparse(n, we)
-	case MatcherWarm:
-		e := s.warmFor(a)
-		var dirty []int
-		if e.since >= 0 {
-			dirty = s.dirtyNodes(sc, e.since)
-		}
-		m, w := sc.arena.MaxWeightBipartiteWarm(n, we, &e.ws, dirty)
-		e.since = s.tr.tick
-		return m, w
-	default:
+	if s.opt.Matcher != MatcherWarm {
 		return sc.arena.MaxWeightBipartite(n, we)
 	}
+	e := s.warmFor(a)
+	var dirty []int
+	if e.since >= 0 {
+		dirty = s.dirtyNodes(sc, e.since)
+	}
+	m, w := sc.arena.MaxWeightBipartiteWarm(n, we, &e.ws, dirty)
+	e.since = s.tr.tick
+	return m, w
 }
 
 // parallelFor runs f(worker, 0..n-1) across Options.Parallelism workers

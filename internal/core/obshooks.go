@@ -27,8 +27,6 @@ type coreInstruments struct {
 	arenaGrows    *obs.Counter
 	arenaReuses   *obs.Counter
 
-	denseSolves    *obs.Counter // exact solves taken by the dense matrix path
-	sparseSolves   *obs.Counter // exact solves taken by the sparse CSR path
 	prunedExact    *obs.Counter // phase-2 exact solves skipped by incumbent pruning
 	warmCalls      *obs.Counter
 	warmHits       *obs.Counter
@@ -56,8 +54,6 @@ func bindCoreInstruments(o *obs.Observer) coreInstruments {
 		arenaGrows:    o.Counter("octopus_match_arena_grows_total"),
 		arenaReuses:   o.Counter("octopus_match_arena_reuses_total"),
 
-		denseSolves:    o.Counter("octopus_match_exact_dense_total"),
-		sparseSolves:   o.Counter("octopus_match_exact_sparse_total"),
 		prunedExact:    o.Counter("octopus_match_exact_pruned_total"),
 		warmCalls:      o.Counter("octopus_match_warm_calls_total"),
 		warmHits:       o.Counter("octopus_match_warm_hits_total"),
@@ -111,8 +107,6 @@ func (s *Scheduler) observeDone() {
 	ins.augmentRounds.Add(sum.AugmentRounds)
 	ins.arenaGrows.Add(sum.Grows)
 	ins.arenaReuses.Add(sum.Reuses)
-	ins.denseSolves.Add(sum.DenseSolves)
-	ins.sparseSolves.Add(sum.SparseSolves)
 	ins.prunedExact.Add(s.prunedExact)
 	ins.warmCalls.Add(sum.WarmCalls)
 	ins.warmHits.Add(sum.WarmHits)

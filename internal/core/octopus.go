@@ -27,32 +27,28 @@ import (
 
 // Matcher selects the maximum-weight-matching algorithm used to pick each
 // configuration.
+//
+// The values are also the matcher codes that flight logs carry in the
+// planned event (internal/engine writes int64(Matcher) into it), so they
+// are part of flight log version 1 and must not be renumbered. 2 and 3
+// stay unused: older logs carry them for exact solves.
 type Matcher int
 
 const (
-	// MatcherExact uses the exact Hungarian matcher (the paper's Octopus),
-	// auto-selecting between the dense matrix path and the sparse CSR path
-	// per instance. The two paths produce bit-identical matchings, so the
-	// automatic choice never changes a schedule.
-	MatcherExact Matcher = iota
+	// MatcherExact uses the exact Hungarian matcher (the paper's Octopus).
+	MatcherExact Matcher = 0
 	// MatcherGreedy uses the linear-time greedy 2-approximate matcher
 	// (the paper's Octopus-G).
-	MatcherGreedy
-	// MatcherDense forces the dense exact path (A/B mode for the sparse
-	// solver; schedules are bit-identical to MatcherExact).
-	MatcherDense
-	// MatcherSparse forces the sparse CSR exact path (bit-identical to
-	// MatcherExact as well).
-	MatcherSparse
+	MatcherGreedy Matcher = 1
 	// MatcherWarm uses the exact matcher with per-α warm-started dual
 	// potentials retained across greedy iterations. Every matching still
 	// has exactly maximum weight, but it may be a different equal-weight
-	// optimum than the cold paths pick, so schedules are quality-equal
+	// optimum than the cold solver picks, so schedules are quality-equal
 	// rather than bit-identical (see matching/warm.go and DESIGN.md §13).
 	// Only the single-port directed mode supports it. In bidirectional
-	// mode the three exact variants all select the general-graph exact
-	// matcher (the bipartite arena is not involved).
-	MatcherWarm
+	// mode both exact variants select the general-graph exact matcher
+	// (the bipartite arena is not involved).
+	MatcherWarm Matcher = 4
 )
 
 // exact reports whether the matcher is one of the exact variants (anything

@@ -4,32 +4,25 @@ import (
 	"testing"
 
 	"octopus/internal/core"
-	"octopus/internal/obs/flight"
 )
 
-// TestFlightMatcherCodesMirrorCore pins the flight wire codes to the
-// core.Matcher enum. The flight package cannot import core (it sits below
-// the scheduler layers), so it mirrors the values; this test is the pin
-// that promise relies on — if core ever renumbers or grows the enum, the
-// mirror must be updated in the same change.
+// TestFlightMatcherCodesMirrorCore pins the core.Matcher values. Commit
+// writes int64(core.Matcher) into the flight planned event, so these values
+// are the matcher codes of flight log version 1: renumbering the enum would
+// change what existing logs mean.
 func TestFlightMatcherCodesMirrorCore(t *testing.T) {
 	pairs := []struct {
-		name   string
-		core   core.Matcher
-		flight int64
+		name string
+		m    core.Matcher
+		code int64
 	}{
-		{"exact", core.MatcherExact, flight.MatcherExact},
-		{"greedy", core.MatcherGreedy, flight.MatcherGreedy},
-		{"dense", core.MatcherDense, flight.MatcherDense},
-		{"sparse", core.MatcherSparse, flight.MatcherSparse},
-		{"warm", core.MatcherWarm, flight.MatcherWarm},
+		{"exact", core.MatcherExact, 0},
+		{"greedy", core.MatcherGreedy, 1},
+		{"warm", core.MatcherWarm, 4},
 	}
 	for _, p := range pairs {
-		if int64(p.core) != p.flight {
-			t.Errorf("matcher %s: core=%d flight=%d", p.name, int64(p.core), p.flight)
-		}
-		if got := flight.MatcherCode(p.name); got != p.flight {
-			t.Errorf("MatcherCode(%q) = %d, want %d", p.name, got, p.flight)
+		if int64(p.m) != p.code {
+			t.Errorf("matcher %s: code %d, want %d", p.name, int64(p.m), p.code)
 		}
 	}
 }

@@ -83,9 +83,8 @@ func TestArenaStatsDoNotPerturbResults(t *testing.T) {
 
 // TestArenaShrinkThenGrow guards against stale state leaking across
 // instance sizes: a big solve, then a small one, then big again must match
-// a fresh arena at every step, on every exact path (the dense potentials,
-// the sparse stamps/generator, and the warm scratch all outlive the small
-// call).
+// a fresh arena at every step, on the cold and warm solvers (the
+// potentials and the warm scratch both outlive the small call).
 func TestArenaShrinkThenGrow(t *testing.T) {
 	big := func(seed int64) []Edge {
 		var edges []Edge
@@ -113,26 +112,20 @@ func TestArenaShrinkThenGrow(t *testing.T) {
 		{"big-3", 64, big(1)},
 	}
 	for _, st := range steps {
-		for _, path := range []string{"auto", "dense", "sparse", "warm"} {
+		for _, path := range []string{"cold", "warm"} {
 			var gotM, wantM []Edge
 			var gotW, wantW int64
 			var fresh Arena
 			switch path {
-			case "auto":
+			case "cold":
 				gotM, gotW = a.MaxWeightBipartite(st.n, st.edges)
 				wantM, wantW = fresh.MaxWeightBipartite(st.n, st.edges)
-			case "dense":
-				gotM, gotW = a.MaxWeightBipartiteDense(st.n, st.edges)
-				wantM, wantW = fresh.MaxWeightBipartiteDense(st.n, st.edges)
-			case "sparse":
-				gotM, gotW = a.MaxWeightBipartiteSparse(st.n, st.edges)
-				wantM, wantW = fresh.MaxWeightBipartiteSparse(st.n, st.edges)
 			case "warm":
 				// Size changes invalidate ws, so each warm call here solves
 				// cold through the shared arena scratch: weight must still
 				// match a fresh arena exactly.
 				gotM, gotW = a.MaxWeightBipartiteWarm(st.n, st.edges, &ws, nil)
-				wantM, wantW = fresh.MaxWeightBipartiteDense(st.n, st.edges)
+				wantM, wantW = fresh.MaxWeightBipartite(st.n, st.edges)
 			}
 			if gotW != wantW || len(gotM) != len(wantM) {
 				t.Fatalf("%s/%s: reused arena diverged: %d edges/%d vs %d edges/%d",

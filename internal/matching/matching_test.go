@@ -19,6 +19,67 @@ func randBipartite(rng *rand.Rand, n, maxW int) []Edge {
 	return edges
 }
 
+// randInstance draws a random bipartite instance: n nodes per side, edge
+// probability densityNum/densityDen, weights in [-5, maxW] (so some edges
+// are non-positive and must be ignored), with occasional duplicates.
+func randInstance(rng *rand.Rand, n int, density float64, maxW int64) []Edge {
+	var edges []Edge
+	for f := 0; f < n; f++ {
+		for t := 0; t < n; t++ {
+			if rng.Float64() >= density {
+				continue
+			}
+			w := rng.Int63n(maxW+6) - 5
+			edges = append(edges, Edge{From: f, To: t, Weight: w})
+			if rng.Float64() < 0.05 {
+				edges = append(edges, Edge{From: f, To: t, Weight: rng.Int63n(maxW + 1)})
+			}
+		}
+	}
+	// Shuffle so compaction order is not the generation order.
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	return edges
+}
+
+// checkValidMatching asserts m is a matching over the positive edges of the
+// instance: endpoints distinct, weights consistent with the (max-duplicate)
+// input weight, total correct.
+func checkValidMatching(t *testing.T, n int, edges, m []Edge, total int64) {
+	t.Helper()
+	maxW := map[[2]int]int64{}
+	for _, e := range edges {
+		if e.Weight <= 0 {
+			continue
+		}
+		k := [2]int{e.From, e.To}
+		if e.Weight > maxW[k] {
+			maxW[k] = e.Weight
+		}
+	}
+	usedF, usedT := map[int]bool{}, map[int]bool{}
+	var sum int64
+	for _, e := range m {
+		if e.Weight <= 0 {
+			t.Fatalf("non-positive matched edge %+v", e)
+		}
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+			t.Fatalf("edge endpoints out of range: %+v", e)
+		}
+		if usedF[e.From] || usedT[e.To] {
+			t.Fatalf("matching reuses a node: %+v", e)
+		}
+		usedF[e.From], usedT[e.To] = true, true
+		if maxW[[2]int{e.From, e.To}] != e.Weight {
+			t.Fatalf("matched edge %+v does not carry the input max weight %d",
+				e, maxW[[2]int{e.From, e.To}])
+		}
+		sum += e.Weight
+	}
+	if sum != total {
+		t.Fatalf("reported total %d != summed %d", total, sum)
+	}
+}
+
 func isBipartiteMatching(n int, m []Edge) bool {
 	from := make([]bool, n)
 	to := make([]bool, n)
@@ -299,5 +360,86 @@ func TestHungarianLarge(t *testing.T) {
 	}
 	if 2*gw < w {
 		t.Fatalf("greedy %d below half of exact %d", gw, w)
+	}
+}
+
+// TestExactVsBruteForce pins the cold and warm exact solvers to the
+// brute-force oracle on small instances.
+func TestExactVsBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var a Arena
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(6)
+		edges := randInstance(rng, n, 0.6, 9)
+		_, want := BruteForceBipartite(n, edges)
+
+		cm, cw := a.MaxWeightBipartite(n, edges)
+		checkValidMatching(t, n, edges, cm, cw)
+		var ws WarmState
+		wm, ww := a.MaxWeightBipartiteWarm(n, edges, &ws, nil)
+		if cw != want || ww != want {
+			t.Fatalf("trial %d (n=%d): cold=%d warm=%d oracle=%d edges=%v",
+				trial, n, cw, ww, want, edges)
+		}
+		checkValidMatching(t, n, edges, wm, ww)
+	}
+}
+
+// TestExactBoundaries covers the all-non-positive and empty-active-set
+// boundary instances on the cold and warm solvers.
+func TestExactBoundaries(t *testing.T) {
+	cases := []struct {
+		name  string
+		n     int
+		edges []Edge
+	}{
+		{"nil", 4, nil},
+		{"empty", 4, []Edge{}},
+		{"all-non-positive", 4, []Edge{{0, 1, 0}, {1, 2, -3}, {2, 0, -1}}},
+		{"n-zero", 0, nil},
+	}
+	var a Arena
+	for _, tc := range cases {
+		var ws WarmState
+		for _, solve := range []func() ([]Edge, int64){
+			func() ([]Edge, int64) { return a.MaxWeightBipartite(tc.n, tc.edges) },
+			func() ([]Edge, int64) { return a.MaxWeightBipartiteWarm(tc.n, tc.edges, &ws, nil) },
+			// Second warm call exercises the retained-empty-state path.
+			func() ([]Edge, int64) { return a.MaxWeightBipartiteWarm(tc.n, tc.edges, &ws, nil) },
+		} {
+			m, w := solve()
+			if m != nil || w != 0 {
+				t.Fatalf("%s: expected empty result, got %v/%d", tc.name, m, w)
+			}
+		}
+	}
+}
+
+// TestExactMoreRowsThanCols exercises the nc < nr padding branch (more
+// distinct From-nodes than To-nodes) on the cold and warm solvers.
+func TestExactMoreRowsThanCols(t *testing.T) {
+	edges := []Edge{
+		{From: 0, To: 0, Weight: 5},
+		{From: 1, To: 0, Weight: 7},
+		{From: 2, To: 0, Weight: 6},
+		{From: 3, To: 1, Weight: 2},
+		{From: 4, To: 1, Weight: 1},
+	}
+	want := []Edge{{From: 1, To: 0, Weight: 7}, {From: 3, To: 1, Weight: 2}}
+	var a Arena
+	var ws WarmState
+	for _, solve := range []func() ([]Edge, int64){
+		func() ([]Edge, int64) { return a.MaxWeightBipartite(8, edges) },
+		func() ([]Edge, int64) { return a.MaxWeightBipartiteWarm(8, edges, &ws, nil) },
+	} {
+		m, w := solve()
+		if w != 9 || len(m) != len(want) {
+			t.Fatalf("expected weight 9 from %v, got %v/%d", want, m, w)
+		}
+		for i := range want {
+			if m[i] != want[i] {
+				t.Fatalf("edge %d: got %+v, want %+v", i, m[i], want[i])
+			}
+		}
 	}
 }

@@ -36,8 +36,8 @@ package matching
 // instance. The *particular* matching may differ from the cold solver's
 // among equal-weight optima (the insertion order differs), which is why the
 // warm path is opt-in: callers that need bit-identical schedules use the
-// cold dense/sparse paths; callers that only need optimal weight (the
-// matcher=warm A/B mode) get the warm path's reuse.
+// cold solver; callers that only need optimal weight (the matcher=warm A/B
+// mode) get the warm path's reuse.
 
 // WarmState retains exact-matcher duals between MaxWeightBipartiteWarm
 // calls. It is owned by the caller (one per independent call-site/α-probe),
@@ -103,7 +103,7 @@ func (a *Arena) MaxWeightBipartiteWarm(n int, edges []Edge, ws *WarmState, dirty
 		a.Stats.WarmHits++
 	}
 
-	nr, ncReal, _ := a.compactExact(n, edges)
+	nr, ncReal := a.compactExact(n, edges)
 	if nr == 0 {
 		// Optimal matching is empty; retire all retained state.
 		for _, node := range ws.rowsPrev {
@@ -161,12 +161,11 @@ func (a *Arena) MaxWeightBipartiteWarm(n int, edges []Edge, ws *WarmState, dirty
 	}
 
 	// Seed duals and assignment from the retained state (prepDense zeroed
-	// them). Padding columns keep v = 0. rowMatch (reused way[] storage is
-	// unavailable — it must stay zeroed — so borrow csrCur) tracks the
-	// seeded row->column assignment for the cascade below.
+	// them). Padding columns keep v = 0. rowMatch tracks the seeded
+	// row->column assignment for the cascade below.
 	u, v, p := a.u, a.v, a.p
-	a.csrCur = growInts(a.csrCur, nr+1)
-	rowMatch := a.csrCur[:nr+1]
+	a.warmRowMatch = growInts(a.warmRowMatch, nr+1)
+	rowMatch := a.warmRowMatch
 	for i := range rowMatch {
 		rowMatch[i] = 0
 	}
@@ -242,7 +241,7 @@ func (a *Arena) MaxWeightBipartiteWarm(n int, edges []Edge, ws *WarmState, dirty
 	ws.valid = true
 
 	a.restoreIDMaps()
-	out, total := a.extractExact(nc, false)
+	out, total := a.extractExact(nc)
 	a.exactDone(capBefore)
 	return out, total
 }
@@ -258,15 +257,17 @@ func (a *Arena) MaxWeightBipartiteWarm(n int, edges []Edge, ws *WarmState, dirty
 func (a *Arena) warmResetColumns(nr, ncReal, nc int) {
 	u, v, p, w := a.u, a.v, a.p, a.w
 	dirtyRow := a.warmDirty[:nr+1]
-	rowMatch := a.csrCur[:nr+1]
-	a.touchTick = growInt64s(a.touchTick, nc+1)
-	a.rowEpoch++
-	done, epoch := a.touchTick, a.rowEpoch
-	queue := a.retJ[:0]
+	rowMatch := a.warmRowMatch
+	a.warmDone = growBools(a.warmDone, nc+1)
+	done := a.warmDone[:nc+1]
+	for j := range done {
+		done[j] = false
+	}
+	queue := a.warmQueue[:0]
 	for j := 1; j <= ncReal; j++ {
 		if p[j] == 0 && v[j] != 0 {
 			queue = append(queue, j)
-			done[j] = epoch
+			done[j] = true
 		}
 	}
 	for len(queue) > 0 {
@@ -283,9 +284,9 @@ func (a *Arena) warmResetColumns(nr, ncReal, nc int) {
 					if jj := rowMatch[i]; jj != 0 {
 						p[jj] = 0
 						rowMatch[i] = 0
-						if v[jj] != 0 && done[jj] != epoch {
+						if v[jj] != 0 && !done[jj] {
 							queue = append(queue, jj)
-							done[jj] = epoch
+							done[jj] = true
 						}
 					}
 				}
@@ -293,5 +294,5 @@ func (a *Arena) warmResetColumns(nr, ncReal, nc int) {
 		}
 		v[j] = 0
 	}
-	a.retJ = queue[:0]
+	a.warmQueue = queue[:0]
 }

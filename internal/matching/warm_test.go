@@ -88,11 +88,11 @@ func TestWarmMatchesColdAcrossMutations(t *testing.T) {
 }
 
 // TestWarmAllDirtyEqualsDenseCold pins the degenerate contract: marking
-// every row dirty must reproduce the cold dense solve bit-identically
+// every row dirty must reproduce the cold solve bit-identically
 // (same insertion order, same seeds).
 func TestWarmAllDirtyEqualsDenseCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var warm, dense Arena
+	var warm, cold Arena
 	var ws WarmState
 	all := make([]int, 40)
 	for i := range all {
@@ -101,7 +101,7 @@ func TestWarmAllDirtyEqualsDenseCold(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		edges := randInstance(rng, 40, 0.2, 100)
 		wm, ww := warm.MaxWeightBipartiteWarm(40, edges, &ws, all)
-		dm, dw := dense.MaxWeightBipartiteDense(40, edges)
+		dm, dw := cold.MaxWeightBipartite(40, edges)
 		if ww != dw || len(wm) != len(dm) {
 			t.Fatalf("trial %d: warm all-dirty diverged: %d/%d vs %d/%d", trial, ww, len(wm), dw, len(dm))
 		}

@@ -277,8 +277,9 @@ func (r *Recorder) Admit(flow int64, epoch int, size, src, dst int64) {
 }
 
 // Planned records that the flow was scheduled into epoch's configuration
-// chain: configs in the schedule, the matcher code (see MatcherCode), and
-// the flow's pending packets entering the epoch.
+// chain: configs in the schedule, the matcher code (the core.Matcher
+// value, which fixes those codes), and the flow's pending packets entering
+// the epoch.
 func (r *Recorder) Planned(flow int64, epoch int, configs, matcher, pending int64) {
 	if !r.Tracks(flow) {
 		return
@@ -567,33 +568,4 @@ func min64(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// Matcher codes carried in KindPlanned.B — a compact stable encoding of
-// the matching kind so flight logs are self-describing without string
-// storage in the ring. The values mirror core.Matcher (pinned by a test
-// in internal/engine, which can see both packages).
-const (
-	MatcherExact int64 = iota
-	MatcherGreedy
-	MatcherDense
-	MatcherSparse
-	MatcherWarm
-)
-
-// MatcherCode maps a matcher spec string to its wire code (exact = 0 is
-// the default for unknown strings, matching the registry default).
-func MatcherCode(m string) int64 {
-	switch m {
-	case "greedy":
-		return MatcherGreedy
-	case "dense":
-		return MatcherDense
-	case "sparse":
-		return MatcherSparse
-	case "warm":
-		return MatcherWarm
-	default:
-		return MatcherExact
-	}
 }

@@ -9,6 +9,13 @@ import (
 	"octopus/internal/obs"
 )
 
+// Matcher codes as core.Matcher fixes them; the recorder treats the code
+// as an opaque int64.
+const (
+	matcherGreedy int64 = 1
+	matcherWarm   int64 = 4
+)
+
 // TestNilRecorderIsNoOp pins the package contract: every method on a nil
 // *Recorder is a safe no-op, so "flight off" is the zero value.
 func TestNilRecorderIsNoOp(t *testing.T) {
@@ -20,7 +27,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 		t.Fatal("nil recorder has a sample rate")
 	}
 	r.Admit(1, 0, 10, 0, 1)
-	r.Planned(1, 0, 3, MatcherGreedy, 10)
+	r.Planned(1, 0, 3, matcherGreedy, 10)
 	r.Hop(1, 0, 1, 3, 10)
 	r.Stranded(1, 0, 1, 2)
 	r.Requeued(1, 0, 1, 2)
@@ -49,7 +56,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 func TestLifecycleChain(t *testing.T) {
 	r := New(Config{SLOEpochs: 4})
 	r.Admit(7, 0, 20, 2, 9)
-	r.Planned(7, 1, 3, MatcherWarm, 20)
+	r.Planned(7, 1, 3, matcherWarm, 20)
 	r.Hop(7, 1, 1, 3, 20)
 	r.Delivered(7, 2, 8)
 	r.Delivered(7, 3, 12) // reaches size 20 → auto-completion
@@ -70,7 +77,7 @@ func TestLifecycleChain(t *testing.T) {
 	if evs[0].A != 20 || evs[0].B != 2 || evs[0].C != 9 {
 		t.Fatalf("admitted payload = %+v", evs[0])
 	}
-	if evs[1].B != MatcherWarm {
+	if evs[1].B != matcherWarm {
 		t.Fatalf("planned matcher = %d, want warm", evs[1].B)
 	}
 	done := evs[len(evs)-1]
@@ -201,7 +208,7 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				id := int64(w*2000 + i)
 				r.Admit(id, i, 4, 0, 1)
-				r.Planned(id, i, 2, MatcherGreedy, 4)
+				r.Planned(id, i, 2, matcherGreedy, 4)
 				r.Hop(id, i, 1, 3, 4)
 				r.Delivered(id, i+1, 4)
 			}
@@ -261,24 +268,6 @@ func TestRegistryMirror(t *testing.T) {
 	}
 	if got := reg.Value("octopus_flight_completion_epochs"); got != 5 {
 		t.Fatalf("latency histogram count = %d", got)
-	}
-}
-
-// TestMatcherCode pins the matcher wire codes.
-func TestMatcherCode(t *testing.T) {
-	cases := map[string]int64{
-		"exact":  MatcherExact,
-		"greedy": MatcherGreedy,
-		"dense":  MatcherDense,
-		"sparse": MatcherSparse,
-		"warm":   MatcherWarm,
-		"":       MatcherExact,
-		"bogus":  MatcherExact,
-	}
-	for in, want := range cases {
-		if got := MatcherCode(in); got != want {
-			t.Fatalf("MatcherCode(%q) = %d, want %d", in, got, want)
-		}
 	}
 }
 

@@ -12,18 +12,17 @@ import (
 // TestMatcherDifferentialEquivalence pins the exact-matcher modes across
 // the whole registry on shared random instances:
 //
-//   - matcher=dense, matcher=sparse, and par=4 must reproduce the default
-//     (auto) run bit-for-bit — same schedule bytes, same claims, same
-//     metrics. The auto dense/sparse dispatch, the forced A/B paths, and
-//     the parallel α evaluation are all documented as output-invariant;
-//     this is the harness-level enforcement of that contract, mirroring
-//     the observability on/off suite.
+//   - par=4 must reproduce the default run bit-for-bit — same schedule
+//     bytes, same claims, same metrics. The parallel α evaluation is
+//     documented as output-invariant; this is the harness-level
+//     enforcement of that contract, mirroring the observability on/off
+//     suite.
 //   - matcher=warm is documented quality-equal, not bit-identical (it may
 //     pick a different equal-weight optimum per iteration, so schedules
 //     may diverge): every warm run must still pass the full independent
 //     verifier with the planner's own claimed metrics, and must be
 //     deterministic run to run. The per-call equal-weight pin of the warm
-//     solver against the cold ones lives in internal/matching's oracle
+//     solver against the cold one lives in internal/matching's oracle
 //     and property tests.
 //
 // Algorithms that take no matcher (maxweight, rotornet, hybrid, ub, ...)
@@ -39,8 +38,6 @@ func TestMatcherDifferentialEquivalence(t *testing.T) {
 		bit  bool // must be bit-identical to the default run
 		prep func(p algo.Params) algo.Params
 	}{
-		{"dense", true, func(p algo.Params) algo.Params { p.Matcher = core.MatcherDense; return p }},
-		{"sparse", true, func(p algo.Params) algo.Params { p.Matcher = core.MatcherSparse; return p }},
 		{"par4", true, func(p algo.Params) algo.Params { p.Parallelism = 4; return p }},
 		{"warm", false, func(p algo.Params) algo.Params { p.Matcher = core.MatcherWarm; return p }},
 	}
@@ -97,7 +94,7 @@ func TestMatcherDifferentialEquivalence(t *testing.T) {
 				// Warm state is keyed per α and probe pruning is
 				// parallelism-independent, so the warm path itself must be
 				// bit-identical across worker counts even though it may
-				// diverge from the cold paths.
+				// diverge from the cold solver.
 				wp := vr.prep(base)
 				wp.Parallelism = 4
 				par, err := a.Run(inst.G, inst.Load, wp)
